@@ -54,3 +54,11 @@ class RefreshViolationError(ReproError):
 
 class InsufficientDataError(ReproError):
     """A statistical routine was given fewer samples than it requires."""
+
+
+class EngineError(ReproError):
+    """The verification engine failed while serving a coalesced batch.
+
+    Raised to every request of the failed batch (the engine's own
+    exception is the ``__cause__``); later batches are unaffected.
+    """

@@ -9,12 +9,12 @@ The serving read path has two halves:
   challenge set in one :class:`~repro.puf.batched_puf.BatchedFracPuf`
   pass, optional per-vendor-group MAJ3 attestation sub-passes run via
   :func:`~repro.core.verify.batched_verify_frac_by_maj3` on lane
-  subsets, and each lane's probe is matched against the enrollment
-  matrix with the same :func:`~repro.puf.auth.match_probe` the scalar
-  :class:`~repro.puf.auth.Authenticator` uses.  A request's reply is
-  therefore independent of which other requests shared its batch — the
-  batched engine's byte-identity contract, surfaced as a serving
-  guarantee.
+  subsets, and each lane's probe is matched against the packed
+  enrollment matrix with the same :func:`~repro.puf.auth.match_probe`
+  the scalar :class:`~repro.puf.auth.Authenticator` uses.  A request's
+  reply is therefore independent of which other requests shared its
+  batch — the batched engine's byte-identity contract, surfaced as a
+  serving guarantee.
 
 * :class:`RequestBatcher` — the asyncio coalescer: concurrent
   ``submit`` calls queue; a batch opens at the first queued request and
@@ -34,8 +34,11 @@ Telemetry: decision counters (``service.requests``, ``service.accepted``,
 replies do not depend on batch composition.  Coalescing-shape counters
 (``service.batches``, ``service.flush.*``, ``service.lanes``) are
 deterministic under scripted replay but reflect real arrival timing
-under the live clock.  Latency only ever enters the wall-clock-exempt
-histogram channels (``service.wait_s``, ``service.latency_s``).
+under the live clock.  ``service.engine_errors`` counts live batches
+whose engine pass raised; only that batch's requests fail (each with
+an :class:`~repro.errors.EngineError`).  Latency only ever enters the
+wall-clock-exempt histogram channels (``service.wait_s``,
+``service.latency_s``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from ..core.verify import batched_verify_frac_by_maj3
 from ..dram.batched import BatchedChip
 from ..dram.chip import DramChip
 from ..dram.vendor import GROUPS
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, EngineError
 from ..puf.auth import match_probe
 from ..puf.batched_puf import BatchedFracPuf
 from ..telemetry.registry import active as _telemetry_active
@@ -224,7 +227,7 @@ class VerificationEngine:
                     fractions[lane] = result.verified_fraction
 
         replies: list[VerifyReply] = []
-        references = self.db.references
+        references = self.db.packed
         for lane, request in enumerate(requests):
             index, distance = match_probe(references, probes[lane])
             accepted = distance <= config.threshold
@@ -324,7 +327,9 @@ class RequestBatcher:
 
     Concurrent ``submit`` awaiters share fused engine passes.  Batches
     execute in the event loop's default executor, so arrivals keep
-    queueing (and coalescing) while a batch computes.
+    queueing (and coalescing) while a batch computes.  A batch whose
+    engine pass raises fails its own awaiters with
+    :class:`~repro.errors.EngineError` and nothing else.
     """
 
     def __init__(self, engine: VerificationEngine,
@@ -426,9 +431,22 @@ class RequestBatcher:
                                       batch_started - arrival,
                                       bounds=LATENCY_BUCKET_BOUNDS)
             requests = [request for _, request, _ in taken]
-            replies = await loop.run_in_executor(
-                None, functools.partial(self.engine.execute, requests,
-                                        self._batch_index))
+            try:
+                replies = await loop.run_in_executor(
+                    None, functools.partial(self.engine.execute, requests,
+                                            self._batch_index))
+            except Exception as error:
+                # Only this batch's requests fail; the loop keeps
+                # serving later submits.
+                if telemetry is not None:
+                    telemetry.count("service.engine_errors")
+                message = f"verification engine failed: {error!r}"
+                for _, _, future in taken:
+                    if not future.cancelled():
+                        fault = EngineError(message)
+                        fault.__cause__ = error
+                        future.set_exception(fault)
+                continue
             self._batch_index += 1
             completed = self.clock.now()
             for (arrival, _, future), reply in zip(taken, replies):

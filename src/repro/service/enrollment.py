@@ -29,7 +29,7 @@ import numpy as np
 from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError, InsufficientDataError
 from ..fleet.cache import config_fingerprint, default_cache_dir
-from ..puf.auth import Authenticator
+from ..puf.auth import Authenticator, PackedReferences
 from ..puf.batched_puf import BatchedFracPuf
 from ..telemetry.registry import active as _telemetry_active
 from .config import ServiceConfig, module_id
@@ -40,7 +40,12 @@ _DIGEST_CHARS = 24  # 96 bits in the entry name, matching the fleet cache
 
 
 class EnrollmentDb:
-    """Golden responses for an enrolled fleet, stacked for matching."""
+    """Golden responses for an enrolled fleet, stacked for matching.
+
+    ``references`` is the bool ``(n_modules, n_challenges, bits)``
+    matrix; ``packed`` is the same matrix packed once for the popcount
+    matcher (:func:`~repro.puf.auth.match_probe`).
+    """
 
     def __init__(self, config: ServiceConfig,
                  specs: list[tuple[str, int]],
@@ -53,6 +58,7 @@ class EnrollmentDb:
         self.config = config
         self.specs = [(str(group), int(serial)) for group, serial in specs]
         self.references = references
+        self.packed = PackedReferences.pack(references)
         self.ids = tuple(module_id(group, serial)
                          for group, serial in self.specs)
         self._index = {identity: index

@@ -26,7 +26,7 @@ import json
 from typing import Any
 
 from ..dram.vendor import GROUPS
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, EngineError
 from ..telemetry.registry import active as _telemetry_active
 from .batcher import RequestBatcher, VerificationEngine, VerifyReply, VerifyRequest
 from .clock import Clock
@@ -36,14 +36,26 @@ from .enrollment import EnrollmentDb
 __all__ = ["PufAuthService", "parse_request_line"]
 
 
-def parse_request_line(line: str) -> VerifyRequest:
+def parse_request_line(line: str | bytes) -> VerifyRequest:
     """Decode one JSON-lines transport request.
 
     Accepts either a canonical ``"module": "<group>-<serial>"`` id or
     explicit ``"group"``/``"serial"`` fields, plus optional ``"epoch"``
-    and ``"claim"``.  Raises :class:`ConfigurationError` on malformed
-    input — the transport turns that into an error reply.
+    and ``"claim"``.  ``bytes`` must be UTF-8.  Raises
+    :class:`ConfigurationError` on any malformed input — the transport
+    turns that into an error reply.
     """
+    try:
+        return _decode_request(line)
+    except (TypeError, ValueError, OverflowError) as error:
+        # Non-UTF-8 bytes, non-numeric or non-finite numbers, and
+        # integers too long to convert all land here.
+        raise ConfigurationError(f"malformed request: {error}") from None
+
+
+def _decode_request(line: str | bytes) -> VerifyRequest:
+    if isinstance(line, bytes):
+        line = line.decode("utf-8")
     try:
         document = json.loads(line)
     except json.JSONDecodeError as error:
@@ -148,7 +160,7 @@ class PufAuthService:
         write_lock = asyncio.Lock()
         in_flight: set[asyncio.Task[None]] = set()
 
-        async def serve_line(line: str) -> None:
+        async def serve_line(line: bytes) -> None:
             reply = await self._reply_for_line(line)
             async with write_lock:
                 writer.write((json.dumps(reply, sort_keys=True) + "\n")
@@ -160,7 +172,9 @@ class PufAuthService:
                 raw = await reader.readline()
                 if not raw:
                     break
-                line = raw.decode().strip()
+                # Decoding happens in parse_request_line, so a line that
+                # is not UTF-8 gets an error reply like any other.
+                line = raw.strip()
                 if not line:
                     continue
                 # One task per line: a pipelined client's requests
@@ -182,7 +196,7 @@ class PufAuthService:
             if task is not None:
                 self._connections.discard(task)
 
-    async def _reply_for_line(self, line: str) -> dict[str, Any]:
+    async def _reply_for_line(self, line: bytes) -> dict[str, Any]:
         telemetry = _telemetry_active()
         try:
             request = parse_request_line(line)
@@ -191,6 +205,9 @@ class PufAuthService:
             if telemetry is not None:
                 telemetry.count("service.transport_errors")
             return {"error": str(error)}
+        except EngineError as error:
+            # Counted once per failed batch, by the batcher.
+            return {"error": str(error), "id": request.request_id}
         document = reply.to_json_dict()
         document["id"] = request.request_id
         return document

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro import DramChip
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EngineError
 from repro.puf.frac_puf import FracPuf
 from repro.service import (CoalescePolicy, ManualClock, RequestBatcher,
                            VerificationEngine, VerifyRequest,
@@ -197,6 +197,36 @@ class TestRequestBatcher:
 
         reply = asyncio.run(run())
         assert reply.accepted
+
+    def test_engine_fault_fails_only_its_batch(self, faulty_engine):
+        policy = CoalescePolicy(max_lanes=2, max_wait_s=60.0)
+        engine = faulty_engine
+
+        async def run():
+            batcher = RequestBatcher(engine, policy)
+            await batcher.start()
+            # Timeouts turn a dead flush loop into a failure, not a hang.
+            failed = await asyncio.wait_for(asyncio.gather(
+                batcher.submit(request(0, "B", 0)),
+                batcher.submit(request(1, "B", 1)),
+                return_exceptions=True), timeout=30)
+            served = await asyncio.wait_for(asyncio.gather(
+                batcher.submit(request(2, "B", 0)),
+                batcher.submit(request(3, "B", 1))), timeout=30)
+            await batcher.stop()
+            return batcher, failed, served
+
+        with telemetry_session() as telemetry:
+            batcher, failed, served = asyncio.run(run())
+            counters = telemetry.snapshot()["counters"]
+        assert all(isinstance(error, EngineError) for error in failed)
+        assert all(isinstance(error.__cause__, RuntimeError)
+                   for error in failed)
+        assert [reply.device_id for reply in served] == ["B-00000",
+                                                         "B-00001"]
+        assert engine.calls == 2
+        assert batcher.batches_served == 1
+        assert counters["service.engine_errors"] == 1
 
     def test_submit_before_start_rejected(self, enrolled_db):
         batcher = RequestBatcher(VerificationEngine(enrolled_db),

@@ -11,6 +11,19 @@ from repro.service import (CoalescePolicy, PufAuthService, VerifyRequest,
 
 POLICY = CoalescePolicy(max_lanes=4, max_wait_s=0.002)
 
+#: Malformed lines whose decoding raises ValueError, TypeError,
+#: OverflowError or UnicodeDecodeError inside the parser; each must still
+#: surface as ConfigurationError so the transport answers it.
+UNANSWERED_LINES = [
+    b'{"id": "e1", "module": "B-00000", "epoch": "x"}',
+    b'{"id": "e2", "module": "B-00000", "epoch": null}',
+    b'{"id": "e3", "module": "B-00000", "epoch": 1e999}',
+    b'{"id": "e4", "group": "B", "serial": 1e999}',
+    '{"id": "e5", "module": "B-\u00b2"}'.encode(),
+    b'{"id": "e6", "module": "B-00000"}\xff',
+    b"\xfe\xff",
+]
+
 
 class TestParseRequestLine:
     def test_module_form(self):
@@ -28,10 +41,16 @@ class TestParseRequestLine:
 
     @pytest.mark.parametrize("line", [
         "not json", "[1, 2]", "{}", '{"module": "nope"}',
-        '{"group": "B"}'])
+        '{"group": "B"}', *UNANSWERED_LINES])
     def test_malformed_rejected(self, line):
         with pytest.raises(ConfigurationError):
             parse_request_line(line)
+
+    def test_utf8_bytes_accepted(self):
+        request = parse_request_line(
+            '{"id": "\u00e9", "group": "B", "serial": 1}'.encode())
+        assert request.request_id == "\u00e9"
+        assert request.presented_id == "B-00001"
 
 
 class TestInProcessApi:
@@ -105,6 +124,64 @@ class TestTcpTransport:
         assert by_id["g1"]["device_id"] == "C-00001"
         errors = [reply for reply in replies if "error" in reply]
         assert len(errors) == 2
+
+    def test_every_malformed_line_gets_an_error_reply(self, enrolled_db):
+        async def run():
+            service = PufAuthService(enrolled_db, policy=POLICY)
+            await service.start()
+            host, port = await service.serve_tcp()
+            reader, writer = await asyncio.open_connection(host, port)
+
+            async def exchange(line: bytes) -> dict:
+                writer.write(line + b"\n")
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.readline(), timeout=30)
+                return json.loads(raw.decode())
+
+            try:
+                errors = [await exchange(line) for line in UNANSWERED_LINES]
+                valid = await exchange(json.dumps(
+                    {"id": "ok", "module": "B-00000"}).encode())
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await service.stop()
+            return errors, valid
+
+        errors, valid = asyncio.run(run())
+        assert all(set(reply) == {"error"} for reply in errors), errors
+        assert valid["id"] == "ok"
+        assert valid["accepted"] is True
+        assert valid["device_id"] == "B-00000"
+
+    def test_engine_fault_replies_error_then_recovers(self, enrolled_db,
+                                                      faulty_engine):
+        async def run():
+            service = PufAuthService(enrolled_db, policy=POLICY)
+            service.batcher.engine = faulty_engine
+            await service.start()
+            host, port = await service.serve_tcp()
+            reader, writer = await asyncio.open_connection(host, port)
+            replies = []
+            try:
+                for request_id in ("first", "second"):
+                    writer.write((json.dumps(
+                        {"id": request_id, "module": "B-00000"}) + "\n")
+                        .encode())
+                    await writer.drain()
+                    replies.append(json.loads(await asyncio.wait_for(
+                        reader.readline(), timeout=30)))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await service.stop()
+            return replies
+
+        failed, served = asyncio.run(run())
+        assert failed["id"] == "first"
+        assert "injected engine fault" in failed["error"]
+        assert served["id"] == "second"
+        assert served["accepted"] is True
 
     def test_second_transport_rejected(self, enrolled_db):
         async def run():
