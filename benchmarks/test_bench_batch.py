@@ -6,7 +6,8 @@ once as a single :class:`BatchedRetentionProfiler` pass, asserting the
 per-lane bucket tensors are byte-identical and that the batched engine
 delivers the >= 3x wall-clock speedup the batching work targets at
 batch >= 32.  The fig9 benchmark times the full coverage sweep scalar
-vs batched at the default configuration; its natural lane count is only
+vs the ``batched`` backend (named explicitly: the registry default is
+``fused``) at the default geometry; its natural lane count is only
 ``chips_per_group`` (2 here), far below the wide-batch regime, so it
 asserts byte-identity and records the (modest) speedup without a
 threshold.
@@ -113,6 +114,7 @@ def test_fig6_batch_speedup(benchmark, bench_config, capsys):
 
 
 def test_fig9_batch_identity(benchmark, bench_config, capsys):
+    bench_config = bench_config.scaled(backend="batched")
     started = time.perf_counter()
     scalar = fig9_fmaj_coverage.run(bench_config.scaled(batch=1))
     scalar_wall = time.perf_counter() - started

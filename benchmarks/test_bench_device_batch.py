@@ -4,7 +4,9 @@ The fig11 PUF HD study is the canonical device sweep: every Frac-capable
 vendor group contributes several modules, each answering the same
 challenge set at two noise epochs.  The scalar path fabricates and
 drives one chip at a time; the device-batched path evaluates the whole
-fleet as lanes of one :meth:`BatchedChip.from_fleet` cohort.
+fleet as lanes of one :meth:`BatchedChip.from_fleet` cohort, on the
+``batched`` backend (named explicitly: the registry default is
+``fused``).
 
 The benchmark geometry narrows the rows to 128 columns (and widens the
 fleet to 54 modules).  Device batching amortizes the per-command Python
@@ -57,7 +59,7 @@ def _best_wall(function, *args, **kwargs):
 
 
 def test_fig11_device_batch_speedup(benchmark, bench_config, capsys):
-    config = bench_config.scaled(columns=128)
+    config = bench_config.scaled(columns=128, backend="batched")
 
     scalar_wall, scalar = _best_wall(
         fig11_puf_hd.run, config.scaled(batch=1),

@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
                                   "results byte-identical)")
     experiments.add_argument("--backend", default=None, metavar="NAME",
                              help="execution backend (scalar/batched/plan/fused; "
-                                  "default batched; results byte-identical)")
+                                  "default fused; results byte-identical)")
     experiments.add_argument("--no-cache", action="store_true",
                              help="recompute results even if cached")
     experiments.add_argument("--cache-dir", default=None)
@@ -376,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
                              "results byte-identical)")
     report.add_argument("--backend", default=None, metavar="NAME",
                         help="execution backend (scalar/batched/plan/fused; "
-                             "default batched; results byte-identical)")
+                             "default fused; results byte-identical)")
     report.add_argument("--no-cache", action="store_true",
                         help="recompute results even if cached")
     report.add_argument("--cache-dir", default=None)

@@ -173,6 +173,10 @@ class Backend(abc.ABC):
 
     name: ClassVar[str]
     description: ClassVar[str] = ""
+    #: Whether experiments with an xir lowering
+    #: (:data:`repro.xir.XIR_LOWERED_EXPERIMENTS`) run their hot loops
+    #: through the fused executor under this backend.
+    runs_fused: ClassVar[bool] = False
 
     @abc.abstractmethod
     def lane_width(self, auto: int, batch: int | None) -> int:

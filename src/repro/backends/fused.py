@@ -11,8 +11,11 @@ which replay one compiled phase-op schedule per program *shape* instead
 of dispatching per command.  Everything else — lane-width policy,
 assembled-program execution, fleet sharding — inherits the batched
 engine unchanged, so the backend is a strict superset: same bytes,
-same counters, less Python.  The serving stack defaults to the same
-engine (``repro.service``'s ``VerificationEngine(backend="fused")``).
+same counters, less Python.  It is the registry default
+(:data:`~repro.backends.registry.DEFAULT_BACKEND`), so ``backend=None``
+runs fused; experiments ask :func:`repro.experiments.base.runs_fused`
+rather than comparing names.  The serving stack uses the same engine
+for enrollment and verification.
 
 The conformance suite (``tests/backends``) holds ``fused`` to the same
 gate as every other backend: byte-identical results and deterministic
@@ -33,5 +36,6 @@ class FusedBackend(BatchedBackend):
     """Batched lanes plus xir-compiled experiment hot loops."""
 
     name = "fused"
+    runs_fused = True
     description = ("xir-compiled experiment programs on batched lanes "
                    "(fig6/fig9/fig10/fig11/nist fused hot paths)")

@@ -29,10 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["DEFAULT_BACKEND", "BackendError", "available_backends",
            "get_backend", "register_backend", "resolve_backend"]
 
-#: The backend used when none is named (``backend=None``): the batched
-#: engine, which auto-sizes its lane width and falls back to scalar
-#: semantics at width 1 — matching the pre-registry default behaviour.
-DEFAULT_BACKEND = "batched"
+#: The backend used when none is named (``backend=None``): the fused
+#: engine — batched lanes (auto-sized, scalar semantics at width 1) with
+#: every xir-lowered experiment hot loop replayed as compiled kernels.
+#: ``batched`` stays registered as the unfused conformance reference.
+DEFAULT_BACKEND = "fused"
 
 _REGISTRY: dict[str, "Backend"] = {}
 

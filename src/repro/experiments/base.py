@@ -25,7 +25,8 @@ from ..dram.vendor import GroupProfile
 from ..telemetry.registry import active as _telemetry_active
 
 __all__ = ["ExperimentConfig", "make_chip", "make_fd", "make_module",
-           "markdown_table", "percent", "resolve_batch", "stage"]
+           "markdown_table", "percent", "resolve_batch", "runs_fused",
+           "stage"]
 
 
 @contextmanager
@@ -67,7 +68,7 @@ class ExperimentConfig:
     #: scalar RNG stream per lane); this knob only trades memory for speed.
     batch: int | None = None
     #: Execution backend name (see :mod:`repro.backends`): ``None`` uses
-    #: the registry default (``batched``).  Every registered backend is
+    #: the registry default (``fused``).  Every registered backend is
     #: conformance-gated to byte-identical results and telemetry
     #: counters, so this knob (like ``batch``) never changes outputs.
     backend: str | None = None
@@ -105,8 +106,8 @@ def resolve_batch(config: ExperimentConfig, auto: int) -> int:
 
     ``auto`` is the experiment's natural lane count for the stage (all
     units of a shard, all serials of a group, ...).  Dispatch is the
-    configured backend's policy (:mod:`repro.backends`): the default
-    ``batched`` engine takes ``auto`` capped by the ``batch`` knob
+    configured backend's policy (:mod:`repro.backends`): the
+    ``batched``/``fused`` engines take ``auto`` capped by the ``batch`` knob
     (0/1 disables batching entirely), while ``scalar``/``plan`` force
     width 1.  The returned width is always at least 1.
     """
@@ -114,6 +115,18 @@ def resolve_batch(config: ExperimentConfig, auto: int) -> int:
 
     return resolve_backend(getattr(config, "backend", None)).lane_width(
         auto, config.batch)
+
+
+def runs_fused(config: ExperimentConfig) -> bool:
+    """Whether a batched stage runs its xir-lowered hot loop fused.
+
+    Resolved through the registry, so ``backend=None`` follows
+    :data:`~repro.backends.registry.DEFAULT_BACKEND` (``fused``) and
+    ``--backend batched`` keeps the unfused reference engine.
+    """
+    from ..backends import resolve_backend
+
+    return resolve_backend(getattr(config, "backend", None)).runs_fused
 
 
 def make_chip(group: str | GroupProfile, config: ExperimentConfig,

@@ -37,6 +37,7 @@ from .base import (
     markdown_table,
     percent,
     resolve_batch,
+    runs_fused,
     subarray_targets,
 )
 
@@ -198,7 +199,7 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
         cohort = serials[start:start + batch]
         chips = [make_chip(group_id, config, serial) for serial in cohort]
         device = BatchedChip.from_chips(chips)
-        if config.backend == "fused":
+        if runs_fused(config):
             from ..xir import FusedFracDram
             bfd = FusedFracDram(device)
         else:
@@ -274,7 +275,7 @@ def _stability_rates(config: ExperimentConfig, group_id: str,
                            operation, serial) for serial in cohort]
         chips = [make_chip(group_id, config, serial) for serial in cohort]
         device = BatchedChip.from_chips(chips)
-        if config.backend == "fused":
+        if runs_fused(config):
             from ..xir import FusedFracDram
             bfd = FusedFracDram(device)
         else:

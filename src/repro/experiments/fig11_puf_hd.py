@@ -26,7 +26,7 @@ from ..puf.batched_puf import BatchedFracPuf
 from ..puf.frac_puf import Challenge, FracPuf
 from ..puf.metrics import inter_hd_distances, intra_hd_distances, response_weights
 from .base import (DEFAULT_CONFIG, ExperimentConfig, make_chip,
-                   markdown_table, resolve_batch)
+                   markdown_table, resolve_batch, runs_fused)
 
 __all__ = ["Fig11Group", "Fig11Result", "run", "default_challenges",
            "shard_units", "run_shard", "merge"]
@@ -167,7 +167,7 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 24,
         device = BatchedChip.from_fleet(cohort, geometry=geometry,
                                         master_seed=config.master_seed,
                                         epochs=[0] * len(cohort))
-        if config.backend == "fused":
+        if runs_fused(config):
             from ..xir import FusedFracPuf
             puf = FusedFracPuf(device)
         else:

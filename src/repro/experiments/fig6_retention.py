@@ -38,6 +38,7 @@ from .base import (
     markdown_table,
     percent,
     resolve_batch,
+    runs_fused,
 )
 
 __all__ = ["Fig6GroupResult", "Fig6Result", "run", "shard_units",
@@ -179,7 +180,7 @@ def run_shard(config: ExperimentConfig, units,
             _unit_targets(config, group_id, rows_per_bank_sample)
             for group_id in cohort]
         bfd = BatchedFracDram(BatchedChip.from_chips(chips))
-        if config.backend == "fused":
+        if runs_fused(config):
             from ..xir import FusedRetentionProfiler
             profiler = FusedRetentionProfiler(bfd)
         else:

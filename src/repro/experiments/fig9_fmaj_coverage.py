@@ -32,6 +32,7 @@ from .base import (
     markdown_table,
     percent,
     resolve_batch,
+    runs_fused,
     subarray_targets,
 )
 
@@ -194,7 +195,7 @@ def _group_payload(config: ExperimentConfig, group_id: str,
         cohort = serials[start:start + batch]
         chips = [make_chip(group_id, config, serial) for serial in cohort]
         device = BatchedChip.from_chips(chips)
-        if config.backend == "fused":
+        if runs_fused(config):
             from ..xir import FusedFracDram
             bfd = FusedFracDram(device)
         else:

@@ -29,7 +29,7 @@ from ..dram.chip import DramChip
 from ..puf.extractor import von_neumann_extract
 from ..puf.frac_puf import PUF_N_FRAC, Challenge, FracPuf
 from ..puf.nist import SuiteResult, run_all
-from .base import DEFAULT_CONFIG, ExperimentConfig, resolve_batch
+from .base import DEFAULT_CONFIG, ExperimentConfig, resolve_batch, runs_fused
 
 __all__ = ["NistExperimentResult", "run", "shard_units", "run_shard",
            "merge"]
@@ -141,7 +141,7 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
         # The scalar evaluation, replayed per lane in the virtual
         # 1-sub-array address space: fill the reserved all-ones row,
         # copy it onto the challenge row, Frac it to ~Vdd/2, read.
-        if config.backend == "fused":
+        if runs_fused(config):
             from ..xir import FusedFracDram, ir
             bfd = FusedFracDram(device)
             lanes = bfd.all_lanes()

@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
                              "at every setting")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="execution backend (see repro.backends; "
-                             "default: batched); every registered backend "
+                             "default: fused); every registered backend "
                              "is conformance-gated to byte-identical "
                              "results")
     parser.add_argument("--no-cache", action="store_true",

@@ -32,7 +32,7 @@ __all__ = ["Shard", "partition", "plan_shards", "default_shard_count"]
 #: Mirrors :data:`repro.backends.registry.DEFAULT_BACKEND`.  Kept as a
 #: literal so the typed sharding core stays import-light (a conformance
 #: test pins the two in sync).
-_DEFAULT_BACKEND = "batched"
+_DEFAULT_BACKEND = "fused"
 
 #: A work-unit key: any hashable value (strings, ints, tuples of both).
 U = TypeVar("U", bound=Hashable)

@@ -30,8 +30,8 @@ from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError, InsufficientDataError
 from ..fleet.cache import config_fingerprint, default_cache_dir
 from ..puf.auth import Authenticator, PackedReferences
-from ..puf.batched_puf import BatchedFracPuf
 from ..telemetry.registry import active as _telemetry_active
+from ..xir import FusedFracPuf
 from .config import ServiceConfig, module_id
 
 __all__ = ["EnrollmentDb", "EnrollmentStore", "build_enrollment"]
@@ -96,7 +96,8 @@ class EnrollmentDb:
 def build_enrollment(config: ServiceConfig, n_modules: int) -> EnrollmentDb:
     """Enroll ``n_modules`` simulated modules at noise epoch 0.
 
-    Runs in ``enroll_batch``-wide cohorts on the device-batched engine;
+    Runs in ``enroll_batch``-wide cohorts on the fused engine (the one
+    :class:`~repro.service.batcher.VerificationEngine` verifies with);
     lane ``i`` of each cohort produces the same bytes the scalar
     ``FracPuf(make_chip(...)).evaluate_many`` enrollment would.
     """
@@ -110,7 +111,7 @@ def build_enrollment(config: ServiceConfig, n_modules: int) -> EnrollmentDb:
         device = BatchedChip.from_fleet(
             cohort, geometry=geometry, master_seed=config.master_seed,
             epochs=[0] * len(cohort))
-        puf = BatchedFracPuf(device, n_frac=config.n_frac)
+        puf = FusedFracPuf(device, n_frac=config.n_frac)
         blocks.append(puf.evaluate_many(challenges))
         if telemetry is not None:
             telemetry.count("service.enroll.batches")

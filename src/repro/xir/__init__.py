@@ -19,12 +19,12 @@ The pipeline (see ``docs/performance.md``):
    points), with per-region merged RNG pre-advancement and store
    collapse for non-enforce lanes.
 
-The ``fused`` backend (:mod:`repro.backends.fused`) routes the
-experiments in :data:`XIR_LOWERED_EXPERIMENTS` through the fused
-drivers (:class:`FusedRetentionProfiler`, :class:`FusedFracPuf`,
-:class:`FusedFracDram`); every other experiment inherits the batched
-engine unchanged.  Everything stays byte-identical to the
-``scalar``/``batched``/``plan`` engines (conformance-gated in
+The ``fused`` backend (:mod:`repro.backends.fused`, the registry
+default) routes the experiments in :data:`XIR_LOWERED_EXPERIMENTS`
+through the fused drivers (:class:`FusedRetentionProfiler`,
+:class:`FusedFracPuf`, :class:`FusedFracDram`); every other experiment
+inherits the batched engine unchanged.  Everything stays byte-identical
+to the ``scalar``/``batched``/``plan`` engines (conformance-gated in
 ``tests/backends``).
 """
 
@@ -41,8 +41,9 @@ from .fmaj import FusedFracDram
 from .puf import FusedFracPuf
 from .retention import FusedRetentionProfiler
 
-#: Experiments whose hot loops run through the fused xir executor when
-#: ``--backend fused`` is selected.  Everything else inherits the
+#: Experiments whose hot loops run through the fused xir executor under
+#: the ``fused`` backend (the registry default; ``--backend batched``
+#: opts out).  Everything else inherits the
 #: batched engine (same results — the fused path is a perf lane, not a
 #: different model).  Pinned by ``tests/xir/test_registry.py``.
 XIR_LOWERED_EXPERIMENTS = ("fig6", "fig9", "fig10", "fig11", "nist")

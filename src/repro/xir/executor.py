@@ -13,12 +13,12 @@ bypassing the per-command Python dispatch of
   lanes are grouped by target sub-array, with physical rows, anti-cell
   polarity and output positions resolved into NumPy index arrays.
 * All RNG draws of a region (between :class:`~repro.xir.ir.Leak`
-  boundaries) are pre-drawn with **one** merged ``Generator.normal`` call
-  per (lane, sub-array) run — bitwise identical to the per-step draws
-  because the PCG64 ziggurat consumes the stream value-by-value and
-  ``w * sigma + 0.0`` reproduces ``normal(0, sigma)`` exactly (including
-  the ``-0.0`` normalization); zero-sigma draws consume nothing in both
-  engines.
+  boundaries) are pre-drawn, in budget-capped sub-regions, with **one**
+  merged ``Generator.normal`` call per (lane, sub-array) run — bitwise
+  identical to the per-step draws because the PCG64 ziggurat consumes
+  the stream value-by-value and ``w * sigma + 0.0`` reproduces
+  ``normal(0, sigma)`` exactly (including the ``-0.0`` normalization);
+  zero-sigma draws consume nothing in both engines.
 * Lane-uniform telemetry counters apply as one hoisted delta table;
   data-dependent counters (sense flips, drops, glitches) and trace
   events are produced inline, gated exactly as the batched engine gates
@@ -51,6 +51,14 @@ from . import ir
 from .compile import CompiledProgram, LoweringError, PrimSpec, compile_program
 
 __all__ = ["FusedRunner"]
+
+#: Byte cap on one prefetched draw matrix.  A Leak-delimited region whose
+#: draws would exceed it is prefetched as several sub-regions, cut only
+#: before ``sense`` segments (a Frac burst's draws stay in one matrix);
+#: a sense unit above the cap is left whole.  Bounds the fused engine's
+#: peak memory on long chained programs (a whole fig11 challenge set is
+#: one region).  Stream order is unchanged, so this never changes bytes.
+_PREFETCH_BUDGET = 4 << 20
 
 
 class _Group:
@@ -90,6 +98,46 @@ class _PairGroup:
         self.lane_arr = np.asarray(lanes, dtype=np.intp)
         self.opened_mat = np.asarray(opened_rows, dtype=np.intp)
         self.events = events
+
+
+class _Prefetch:
+    """One region's sub-region draw matrices, prefetched lazily in order.
+
+    Sub-regions partition the region's segment list, and each lane's
+    stream is consumed sub-region by sub-region in segment order, so
+    lazily prefetching them draws exactly what one region-wide prefetch
+    would.  :meth:`finish` prefetches the sub-regions no kernel reached
+    (fast-plan sub-regions holding only dead-draw ``skip`` runs): their
+    streams must advance before the Leak.
+    """
+
+    __slots__ = ("runner", "parts", "fast", "index", "flat", "slots",
+                 "cursor")
+
+    def __init__(self, runner: "FusedRunner", parts, fast: bool) -> None:
+        self.runner = runner
+        self.parts = parts
+        self.fast = fast
+        self.index = 0
+        self.flat, self.slots = runner._prefetch(parts[0], fast)
+        self.cursor = 0
+
+    def take(self, n: int = 1):
+        """The current matrix and the next ``n`` segments' gather maps."""
+        while self.cursor == len(self.slots):
+            self.index += 1
+            self.flat, self.slots = self.runner._prefetch(
+                self.parts[self.index], self.fast)
+            self.cursor = 0
+        start = self.cursor
+        self.cursor += n
+        return self.flat, self.slots[start:self.cursor]
+
+    def finish(self) -> None:
+        while self.index + 1 < len(self.parts):
+            self.index += 1
+            self.runner._prefetch(self.parts[self.index], self.fast)
+        self.flat = self.slots = None
 
 
 def _sigma_column(n_rows: int, sigma_entries) -> np.ndarray:
@@ -335,7 +383,10 @@ class FusedRunner:
                   class_lanes: list[int]):
         """Precompute each region's draw plans: lane runs + gather maps.
 
-        All of a region's scaled draws land in one flat ``(rows, C)``
+        Each region is first cut into sub-regions whose matrices stay
+        within :data:`_PREFETCH_BUDGET` (:meth:`_cut_region`); the
+        executor prefetches them one at a time (:class:`_Prefetch`).
+        All of a sub-region's scaled draws land in one flat ``(rows, C)``
         matrix.  Per lane, maximal runs of consecutive draw segments
         hitting the same sub-array merge into one ``normal(0, 1, C * n)``
         call filling a contiguous row span (the PCG64 ziggurat consumes
@@ -346,7 +397,7 @@ class FusedRunner:
         the matrix's trailing all-zeros row.  Each segment's per-group
         lane buffer is then a single fancy-index gather.
 
-        Each region yields TWO plans.  The *full* plan materializes every
+        Each sub-region yields TWO plans.  The *full* plan materializes every
         draw (the telemetry path observes charge-share snapshots and
         sense decisions, so nothing is dead).  The *fast* plan — used
         with the compacted store-action stream — drops the segments the
@@ -356,153 +407,193 @@ class FusedRunner:
         values had been drawn (:func:`~repro.dram.pcg_jump.skip_normals`),
         but nothing is generated, scaled or stored.
         """
-        regions = []
-        for region in program.regions:
-            entries: dict[int, list] = {lane: [] for lane in class_lanes}
-            slots: list[list[np.ndarray | None]] = []
-            fast_slots: list[list[np.ndarray | None]] = []
-            for kind, bank, param, dead in region:
-                seg_slots: list[np.ndarray | None] = []
-                seg_fast: list[np.ndarray | None] = []
-                for group in bindings[(param, bank)]:
-                    if kind == "sense" or group.cell._jitter_any:
-                        index_arr = np.empty(len(group.lanes), dtype=np.intp)
-                        fast_arr = (None if dead else np.empty(
-                            len(group.lanes), dtype=np.intp))
-                        sigma_vec = (group.cell._noise_sigma
-                                     if kind == "sense"
-                                     else group.cell._jitter_sigma)
-                        for offset, lane in enumerate(group.lanes):
-                            entries[lane].append(
-                                (group.cell, float(sigma_vec[lane]),
-                                 index_arr, offset, dead, fast_arr))
+        return [tuple(self._plan_region(part, bindings, class_lanes)
+                      for part in self._cut_region(region, bindings))
+                for region in program.regions]
+
+    def _cut_region(self, region, bindings) -> list[list]:
+        """Split a region's segments into budget-sized sub-regions.
+
+        The uncuttable unit is a ``sense`` segment plus the charge-share
+        segments up to the next one, so a Frac burst never straddles two
+        matrices.  Units pack greedily while the matrix — full-plan rows
+        (the fast plan never materializes more) plus the shared zeros
+        row — stays within :data:`_PREFETCH_BUDGET`; a unit above the
+        budget forms a sub-region of its own.  An empty region stays one
+        empty part.
+        """
+        units: list[list] = []  # [segments, drawn rows]
+        for segment in region:
+            kind, bank, param, _dead = segment
+            if kind == "sense" or not units:
+                units.append([[], 0])
+            units[-1][0].append(segment)
+            for group in bindings[(param, bank)]:
+                if kind == "sense":
+                    sigmas = group.cell._noise_sigma
+                elif group.cell._jitter_any:
+                    sigmas = group.cell._jitter_sigma
+                else:
+                    continue
+                units[-1][1] += sum(1 for lane in group.lanes
+                                    if sigmas[lane] > 0)
+        row_bytes = 8 * self.device.geometry.columns
+        parts: list[list] = [[]]
+        n_rows = 0
+        for segments, unit_rows in units:
+            if (parts[-1] and (n_rows + unit_rows + 1) * row_bytes
+                    > _PREFETCH_BUDGET):
+                parts.append([])
+                n_rows = 0
+            parts[-1].extend(segments)
+            n_rows += unit_rows
+        return parts
+
+    def _plan_region(self, segments, bindings, class_lanes: list[int]):
+        """The (full, fast) draw plans of one (sub-)region."""
+        entries: dict[int, list] = {lane: [] for lane in class_lanes}
+        slots: list[list[np.ndarray | None]] = []
+        fast_slots: list[list[np.ndarray | None]] = []
+        for kind, bank, param, dead in segments:
+            seg_slots: list[np.ndarray | None] = []
+            seg_fast: list[np.ndarray | None] = []
+            for group in bindings[(param, bank)]:
+                if kind == "sense" or group.cell._jitter_any:
+                    index_arr = np.empty(len(group.lanes), dtype=np.intp)
+                    fast_arr = (None if dead else np.empty(
+                        len(group.lanes), dtype=np.intp))
+                    sigma_vec = (group.cell._noise_sigma
+                                 if kind == "sense"
+                                 else group.cell._jitter_sigma)
+                    for offset, lane in enumerate(group.lanes):
+                        entries[lane].append(
+                            (group.cell, float(sigma_vec[lane]),
+                             index_arr, offset, dead, fast_arr))
+                else:
+                    index_arr = None
+                    fast_arr = None
+                seg_slots.append(index_arr)
+                seg_fast.append(fast_arr)
+            slots.append(seg_slots)
+            if not dead:
+                fast_slots.append(seg_fast)
+
+        runs = []
+        run_sigmas: list[tuple[int, list[float]]] = []
+        row_counter = 0
+        for lane in class_lanes:
+            lane_entries = entries[lane]
+            index = 0
+            while index < len(lane_entries):
+                cell = lane_entries[index][0]
+                if lane_entries[index][1] <= 0:
+                    # zero-sigma: no draw; gather the shared zeros row
+                    lane_entries[index][2][lane_entries[index][3]] = -1
+                    index += 1
+                    continue
+                start = row_counter
+                sigmas: list[float] = []
+                while (index < len(lane_entries)
+                       and lane_entries[index][0] is cell):
+                    _, sigma, index_arr, offset, _, _ = (
+                        lane_entries[index])
+                    if sigma > 0:
+                        sigmas.append(sigma)
+                        index_arr[offset] = row_counter
+                        row_counter += 1
                     else:
-                        index_arr = None
-                        fast_arr = None
-                    seg_slots.append(index_arr)
-                    seg_fast.append(fast_arr)
-                slots.append(seg_slots)
-                if not dead:
-                    fast_slots.append(seg_fast)
+                        index_arr[offset] = -1
+                    index += 1
+                runs.append(("draw", cell, lane, start, row_counter))
+                run_sigmas.append((start, sigmas))
 
-            runs = []
-            run_sigmas: list[tuple[int, list[float]]] = []
-            row_counter = 0
-            for lane in class_lanes:
-                lane_entries = entries[lane]
-                index = 0
-                while index < len(lane_entries):
-                    cell = lane_entries[index][0]
-                    if lane_entries[index][1] <= 0:
-                        # zero-sigma: no draw; gather the shared zeros row
-                        lane_entries[index][2][lane_entries[index][3]] = -1
-                        index += 1
-                        continue
-                    start = row_counter
-                    sigmas: list[float] = []
-                    while (index < len(lane_entries)
-                           and lane_entries[index][0] is cell):
-                        _, sigma, index_arr, offset, _, _ = (
-                            lane_entries[index])
+        # Fast runs merge whole same-cell segments — dead and live
+        # draws together — into ONE ``standard_normal(out=...)``
+        # call per lane filling the flat matrix in place
+        # (re-splitting or re-merging a draw is stream-equivalent:
+        # value-by-value consumption).  Dead draws inside a merged
+        # segment are materialized — the generator produces their
+        # values either way, so parking them in rows no gather
+        # points at is free and saves the per-lane gather dispatch.
+        # Dead spans big enough for :func:`skip_normals`' jump path
+        # (>= _SKIP_MIN draws) stay split so they are never
+        # materialized.
+        columns = self.device.geometry.columns
+        fast_runs = []
+        fast_sigmas: list[tuple[int, list[float]]] = []
+        fast_counter = 0
+        for lane in class_lanes:
+            lane_entries = entries[lane]
+            index = 0
+            while index < len(lane_entries):
+                cell = lane_entries[index][0]
+                segment = []
+                while (index < len(lane_entries)
+                       and lane_entries[index][0] is cell):
+                    segment.append(lane_entries[index])
+                    index += 1
+                n_dead = sum(1 for entry in segment
+                             if entry[4] and entry[1] > 0)
+                n_live = sum(1 for entry in segment
+                             if not entry[4] and entry[1] > 0)
+                if n_live and n_dead and n_dead * columns < _SKIP_MIN:
+                    # Mixed segment, dead span too small to jump:
+                    # one merged draw covering dead rows too.
+                    start = fast_counter
+                    sigmas = []
+                    for _, sigma, _arr, offset, dead, fast_arr in (
+                            segment):
                         if sigma > 0:
+                            if not dead:
+                                fast_arr[offset] = fast_counter
                             sigmas.append(sigma)
-                            index_arr[offset] = row_counter
-                            row_counter += 1
-                        else:
-                            index_arr[offset] = -1
-                        index += 1
-                    runs.append(("draw", cell, lane, start, row_counter))
-                    run_sigmas.append((start, sigmas))
-
-            # Fast runs merge whole same-cell segments — dead and live
-            # draws together — into ONE ``standard_normal(out=...)``
-            # call per lane filling the flat matrix in place
-            # (re-splitting or re-merging a draw is stream-equivalent:
-            # value-by-value consumption).  Dead draws inside a merged
-            # segment are materialized — the generator produces their
-            # values either way, so parking them in rows no gather
-            # points at is free and saves the per-lane gather dispatch.
-            # Dead spans big enough for :func:`skip_normals`' jump path
-            # (>= _SKIP_MIN draws) stay split so they are never
-            # materialized.
-            columns = self.device.geometry.columns
-            fast_runs = []
-            fast_sigmas: list[tuple[int, list[float]]] = []
-            fast_counter = 0
-            for lane in class_lanes:
-                lane_entries = entries[lane]
-                index = 0
-                while index < len(lane_entries):
-                    cell = lane_entries[index][0]
-                    segment = []
-                    while (index < len(lane_entries)
-                           and lane_entries[index][0] is cell):
-                        segment.append(lane_entries[index])
-                        index += 1
-                    n_dead = sum(1 for entry in segment
-                                 if entry[4] and entry[1] > 0)
-                    n_live = sum(1 for entry in segment
-                                 if not entry[4] and entry[1] > 0)
-                    if n_live and n_dead and n_dead * columns < _SKIP_MIN:
-                        # Mixed segment, dead span too small to jump:
-                        # one merged draw covering dead rows too.
+                            fast_counter += 1
+                        elif not dead:
+                            fast_arr[offset] = -1
+                    fast_runs.append(
+                        ("draw", cell, lane, start, fast_counter))
+                    fast_sigmas.append((start, sigmas))
+                    continue
+                # Pure segments (and jump-eligible dead spans):
+                # alternate skip runs for dead, draw runs for live.
+                cursor = 0
+                while cursor < len(segment):
+                    if segment[cursor][4]:
+                        count = 0
+                        while (cursor < len(segment)
+                               and segment[cursor][4]):
+                            if segment[cursor][1] > 0:
+                                count += 1
+                            cursor += 1
+                        if count:
+                            fast_runs.append(
+                                ("skip", cell, lane, count))
+                    else:
                         start = fast_counter
                         sigmas = []
-                        for _, sigma, _arr, offset, dead, fast_arr in (
-                                segment):
+                        while (cursor < len(segment)
+                               and not segment[cursor][4]):
+                            _, sigma, _arr, offset, _, fast_arr = (
+                                segment[cursor])
                             if sigma > 0:
-                                if not dead:
-                                    fast_arr[offset] = fast_counter
+                                fast_arr[offset] = fast_counter
                                 sigmas.append(sigma)
                                 fast_counter += 1
-                            elif not dead:
+                            else:
                                 fast_arr[offset] = -1
-                        fast_runs.append(
-                            ("draw", cell, lane, start, fast_counter))
-                        fast_sigmas.append((start, sigmas))
-                        continue
-                    # Pure segments (and jump-eligible dead spans):
-                    # alternate skip runs for dead, draw runs for live.
-                    cursor = 0
-                    while cursor < len(segment):
-                        if segment[cursor][4]:
-                            count = 0
-                            while (cursor < len(segment)
-                                   and segment[cursor][4]):
-                                if segment[cursor][1] > 0:
-                                    count += 1
-                                cursor += 1
-                            if count:
-                                fast_runs.append(
-                                    ("skip", cell, lane, count))
-                        else:
-                            start = fast_counter
-                            sigmas = []
-                            while (cursor < len(segment)
-                                   and not segment[cursor][4]):
-                                _, sigma, _arr, offset, _, fast_arr = (
-                                    segment[cursor])
-                                if sigma > 0:
-                                    fast_arr[offset] = fast_counter
-                                    sigmas.append(sigma)
-                                    fast_counter += 1
-                                else:
-                                    fast_arr[offset] = -1
-                                cursor += 1
-                            if fast_counter > start:
-                                fast_runs.append(
-                                    ("draw", cell, lane, start,
-                                     fast_counter))
-                                fast_sigmas.append((start, sigmas))
-            regions.append(
-                ((row_counter + 1, runs, slots,
-                  _sigma_column(row_counter + 1, run_sigmas)),
-                 (fast_counter + 1, fast_runs, fast_slots,
-                  _sigma_column(fast_counter + 1, fast_sigmas))))
-        return regions
+                            cursor += 1
+                        if fast_counter > start:
+                            fast_runs.append(
+                                ("draw", cell, lane, start,
+                                 fast_counter))
+                            fast_sigmas.append((start, sigmas))
+        return ((row_counter + 1, runs, slots,
+                 _sigma_column(row_counter + 1, run_sigmas)),
+                (fast_counter + 1, fast_runs, fast_slots,
+                 _sigma_column(fast_counter + 1, fast_sigmas)))
 
     def _prefetch(self, region_schedule, fast: bool):
-        """Draw one region per its precomputed plan.
+        """Draw one sub-region per its precomputed plan.
 
         One ``standard_normal(out=flat_rows)`` call per lane run — the
         raw draws land straight in the flat matrix, then one whole-
@@ -513,7 +604,7 @@ class FusedRunner:
         trailing ``+ 0.0`` normalizes ``-0.0`` exactly like the
         per-chunk form.  ``skip`` runs (fast plan only) advance the
         lane's stream past dead draws without materializing them.
-        Returns the flat matrix plus the region's per-segment gather
+        Returns the flat matrix plus the sub-region's per-segment gather
         maps; callers gather lazily at each kernel site, so a Frac
         burst can pull all of its iterations in one fancy index.
         """
@@ -636,8 +727,7 @@ class FusedRunner:
                 ) from None
 
         region_index = 0
-        flat, slots = self._prefetch(schedule[0], fast)
-        seg_cursor = 0
+        prefetch = _Prefetch(self, schedule[0], fast)
         snap_store: dict[int, list] = {}
         dec_store: dict[int, list] = {}
         read_index = 0
@@ -675,8 +765,7 @@ class FusedRunner:
                                              telemetry)
                 elif tag == "cs":
                     _, bank, param, need_snap = action
-                    seg_slots = slots[seg_cursor]
-                    seg_cursor += 1
+                    flat, (seg_slots,) = prefetch.take()
                     want = need_snap or telemetry is not None
                     snaps = []
                     for group, index_arr in zip(bindings[(param, bank)],
@@ -689,8 +778,7 @@ class FusedRunner:
                     snap_store[bank] = snaps
                 elif tag == "burst":
                     _, bank, param, n_burst = action
-                    burst_slots = slots[seg_cursor:seg_cursor + n_burst]
-                    seg_cursor += n_burst
+                    flat, burst_slots = prefetch.take(n_burst)
                     for group_index, group in enumerate(
                             bindings[(param, bank)]):
                         if group.cell._jitter_any:
@@ -704,8 +792,7 @@ class FusedRunner:
                             draws, n_burst)
                 elif tag == "sense":
                     _, bank, param = action
-                    seg_slots = slots[seg_cursor]
-                    seg_cursor += 1
+                    flat, (seg_slots,) = prefetch.take()
                     decisions = []
                     groups = bindings[(param, bank)]
                     for group_index, (group, index_arr) in enumerate(
@@ -816,14 +903,14 @@ class FusedRunner:
                         pair_group.cell.xir_overwrite(
                             pair_group.lane_arr, pair_group.opened_mat)
                 elif tag == "leak":
+                    prefetch.finish()
                     yield action[1]
                     region_index += 1
-                    seg_cursor = 0
-                    flat, slots = self._prefetch(schedule[region_index],
-                                                 fast)
+                    prefetch = _Prefetch(self, schedule[region_index], fast)
                 else:  # pragma: no cover - defensive
                     raise CommandSequenceError(f"unknown phase op {tag!r}")
 
+        prefetch.finish()
         lane_arr = np.asarray(class_lanes, dtype=np.intp)
         mc.cycles[lane_arr] = base[lane_arr] + program.duration
 

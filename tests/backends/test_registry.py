@@ -49,6 +49,7 @@ class TestRegistry:
 
     def test_resolve_backend_default(self):
         assert resolve_backend(None) is get_backend(DEFAULT_BACKEND)
+        assert resolve_backend(None).name == "fused"
         assert resolve_backend("plan") is get_backend("plan")
 
     def test_duplicate_registration_rejected(self):
@@ -89,7 +90,7 @@ class TestLaneWidthPolicy:
             assert get_backend(name).lane_width(0, None) == 1
 
     def test_resolve_batch_respects_config_backend(self):
-        assert resolve_batch(DEFAULT_CONFIG, 8) == 8  # default: batched
+        assert resolve_batch(DEFAULT_CONFIG, 8) == 8  # default: fused
         assert resolve_batch(DEFAULT_CONFIG.scaled(backend="scalar"), 8) == 1
         assert resolve_batch(DEFAULT_CONFIG.scaled(batch=3), 8) == 3
 

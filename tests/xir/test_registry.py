@@ -1,10 +1,10 @@
 """The fused-experiment registry and lowering-refusal diagnostics.
 
 ``repro.xir.XIR_LOWERED_EXPERIMENTS`` is the documented contract for
-which experiments ride the fused executor under ``--backend fused``
-(everything else inherits the batched engine).  Pinning it here keeps
-the registry, the docs and the per-experiment retrofits from drifting
-apart silently.
+which experiments ride the fused executor under the ``fused`` backend,
+the registry default (everything else inherits the batched engine).
+Pinning it here keeps the registry, the docs and the per-experiment
+retrofits from drifting apart silently.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ def test_registry_names_real_experiments():
 def test_lowered_experiments_accept_the_fused_backend():
     """Every registered experiment's module takes the backend branch.
 
-    The retrofits gate on ``config.backend == "fused"`` with a lazy
+    The retrofits gate on ``runs_fused(config)`` (resolved through the
+    registry, so the ``fused`` default takes it too) with a lazy
     ``from ..xir import ...``; a typo'd import would only explode at
     run time, so grep the source of each registered module for the
     branch instead of running full experiments here (the conformance
@@ -56,7 +57,8 @@ def test_lowered_experiments_accept_the_fused_backend():
     for name in XIR_LOWERED_EXPERIMENTS:
         module = importlib.import_module(modules[name])
         source = inspect.getsource(module)
-        assert 'backend == "fused"' in source, name
+        assert "if runs_fused(config):" in source, name
+        assert 'backend == "fused"' not in source, name
 
 
 def test_refusal_names_the_offending_op():
